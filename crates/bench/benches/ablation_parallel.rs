@@ -1,6 +1,6 @@
 //! Ablation: collector parallelism. The collector guarantees identical
 //! output for any worker count; this bench quantifies what the chunked
-//! crossbeam fan-out buys over the serial loop.
+//! fan-out on the persistent worker pool buys over the serial loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iriscast_bench::synthetic_site;

@@ -5,13 +5,11 @@
 //! PUE 1.1–1.6, embodied 400–1,100 kg, lifespan 3–7 y) to increasing
 //! resolution, so every point is a physically meaningful scenario.
 //!
-//! Threshold note: `par_evaluate_space` falls back to serial below
-//! `iriscast_model::engine::PAR_SERIAL_CUTOFF` (2^17 = 131,072 points).
-//! The PR 2 trajectory measured 13.8 µs parallel vs 2.6 µs serial at 864
-//! points with break-even just above 10^5 on the dev container; with the
-//! fallback (checked *before* the `available_parallelism` syscall, which
-//! alone costs ~10 µs) the sub-cutoff sizes here time identically to the
-//! serial path, bit-identical by construction.
+//! Parallel note: `par_evaluate_space` runs on the persistent worker
+//! pool in fixed fill chunks of 2^16 points. The 1k and 10k spaces are
+//! one chunk each, so they run inline on the caller's thread and time
+//! the serial path; the 100k space is two chunks and fans out for real.
+//! Every size is bit-identical to serial by construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iriscast_model::{paper, Assessment};

@@ -6,14 +6,12 @@
 //! every point is a full Table 2 × Figure 1 convolution. The kernel
 //! factors each (CI series, PUE) pair into one precomputed convolution,
 //! so per-point cost must stay flat in series length — these benches pin
-//! that down, along with the streaming paths' 10M-point throughput.
+//! that down, along with the streaming path's 10M-point throughput.
 //!
-//! Parallel note: `par_evaluate_space` falls back to serial below
-//! `iriscast_model::engine::PAR_SERIAL_CUTOFF` (2^17 points) — the PR 2
-//! trajectory measured 13.8 µs parallel vs 2.6 µs serial at 864 points,
-//! with break-even just above 10^5 — so the sub-cutoff sizes here time
-//! the fallback (identical to serial by construction) and the 200k/10M
-//! sizes time genuine thread fan-out.
+//! Parallel note: `par_evaluate_space` runs on the persistent worker
+//! pool in fixed fill chunks of 2^16 points. The 864- and 10k-point
+//! spaces are one chunk each and run inline on the caller's thread; the
+//! 93k and 209k spaces span two and four chunks and fan out for real.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iriscast_grid::IntensitySeries;
@@ -75,24 +73,19 @@ fn assessment_of(n_ci: usize, side: usize) -> TimeResolvedAssessment {
     builder_of(n_ci, side).build().expect("valid axes")
 }
 
-/// Streaming fold used by the 10M-point benches: envelope + count, the
+/// Streaming fold used by the 10M-point bench: envelope + count, the
 /// cheapest useful consumer (anything heavier would time the sink, not
 /// the engine).
-fn stream_fold(a: &TimeResolvedAssessment, par: bool) -> (usize, CarbonMass, CarbonMass) {
+fn stream_fold(a: &TimeResolvedAssessment) -> (usize, CarbonMass, CarbonMass) {
     let mut n = 0usize;
     let mut lo = CarbonMass::from_kilograms(f64::INFINITY);
     let mut hi = CarbonMass::ZERO;
-    let sink = |p: iriscast_model::PointResult| {
+    a.stream_space(|p| {
         let t = p.outcome.total();
         lo = lo.min(t);
         hi = hi.max(t);
         n += 1;
-    };
-    if par {
-        a.par_stream_space(0, sink);
-    } else {
-        a.stream_space(sink);
-    }
+    });
     (n, lo, hi)
 }
 
@@ -107,8 +100,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(builder.clone().build().unwrap()))
     });
 
-    // Materialised evaluation across the PAR_SERIAL_CUTOFF boundary:
-    // 864 and 10k/93k fall back to serial, 209k fans out for real.
+    // Materialised evaluation, serial vs pool: 864 and 10k points are
+    // one fill chunk (inline), 93k and 209k span several.
     for &(n_ci, side) in &[(4usize, 6usize), (10, 10), (16, 18), (51, 16)] {
         let assessment = assessment_of(n_ci, side);
         let n = assessment.space().len();
@@ -133,10 +126,7 @@ fn bench(c: &mut Criterion) {
     let n = huge.space().len();
     assert!(n > 10_000_000, "space holds {n} points");
     g.bench_with_input(BenchmarkId::new("stream_space", n), &huge, |b, a| {
-        b.iter(|| black_box(stream_fold(a, false)))
-    });
-    g.bench_with_input(BenchmarkId::new("par_stream_space", n), &huge, |b, a| {
-        b.iter(|| black_box(stream_fold(a, true)))
+        b.iter(|| black_box(stream_fold(a)))
     });
     g.bench_with_input(BenchmarkId::new("chunks_64k", n), &huge, |b, a| {
         b.iter(|| {

@@ -4,7 +4,7 @@
 //! figure, one fleet, and a [`ScenarioSpace`] of model inputs, evaluated
 //! to `total = active + embodied` at every point. The paper's Tables 3
 //! and 4 are tiny spaces (3 × 3 and 2 × 5); the engine evaluates spaces of
-//! any cardinality, serially or chunked across threads, and answers
+//! any cardinality, serially or on the persistent worker pool, and answers
 //! envelope/percentile/marginal queries over the batch.
 //!
 //! Entry point: [`Assessment::builder`].
@@ -35,7 +35,10 @@ use crate::embodied::fleet_snapshot_daily;
 use crate::error::{Error, Result};
 use crate::space::{ScenarioAxis, ScenarioPoint, ScenarioSpace};
 use crate::stats_view::StatsAccumulator;
+use iriscast_telemetry::par::{pool_fill_indexed, pool_size};
 use iriscast_units::{Bounds, CarbonIntensity, CarbonMass, Energy, Pue, SimDuration, TriEstimate};
+use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 // Re-exported here because the query types began life in this module;
@@ -221,7 +224,7 @@ impl Assessment {
 
     /// Evaluates every point in the space, serially, in index order.
     pub fn evaluate_space(&self) -> SpaceResults {
-        materialise(&self.space, self.tables())
+        evaluate(&self.space, self.tables(), 1)
     }
 
     /// Evaluates the space into an existing [`SpaceResults`], reusing its
@@ -236,19 +239,19 @@ impl Assessment {
     /// [`SpaceResults::percentile`]) is invalidated; it is rebuilt lazily
     /// on the next quantile query.
     pub fn evaluate_space_into(&self, out: &mut SpaceResults) {
-        evaluate_into(&self.space, self.tables(), out);
+        evaluate_into(&self.space, self.tables(), 1, out);
     }
 
-    /// Evaluates the space chunked across `threads` OS threads (via the
-    /// crossbeam scope shim). Results are identical — not just close — to
-    /// [`Assessment::evaluate_space`]: each point's arithmetic is the
-    /// same, only the loop is partitioned. Spaces smaller than
-    /// [`PAR_SERIAL_CUTOFF`] are evaluated serially (the answer is
-    /// bit-identical either way; below the cutoff serial is faster).
+    /// Evaluates the space on up to `threads` workers of the persistent
+    /// pool ([`iriscast_telemetry::par`]). Results are identical — not
+    /// just close — to [`Assessment::evaluate_space`]: each point's
+    /// arithmetic is the same, only the loop is partitioned. A space of
+    /// one [`FILL_CHUNK_POINTS`] chunk runs inline on the caller's
+    /// thread.
     ///
-    /// `threads == 0` selects the machine's available parallelism.
+    /// `threads == 0` selects every pool worker.
     pub fn par_evaluate_space(&self, threads: usize) -> SpaceResults {
-        par_materialise(&self.space, self.tables(), threads)
+        evaluate(&self.space, self.tables(), threads)
     }
 
     /// Streams every point, in index order, to `sink` — no result
@@ -258,17 +261,6 @@ impl Assessment {
     /// use [`Assessment::evaluate_space`] instead.
     pub fn stream_space(&self, sink: impl FnMut(PointResult)) {
         stream_points(&self.space, self.tables(), sink);
-    }
-
-    /// Streamed evaluation with the per-point arithmetic chunked across
-    /// `threads` OS threads. `sink` still observes every point in index
-    /// order, and every value is bit-identical to
-    /// [`Assessment::stream_space`]; memory is bounded by
-    /// `threads × `[`STREAM_CHUNK_POINTS`] points in flight.
-    ///
-    /// `threads == 0` selects the machine's available parallelism.
-    pub fn par_stream_space(&self, threads: usize, sink: impl FnMut(PointResult)) {
-        par_stream_points(&self.space, self.tables(), threads, sink);
     }
 
     /// Iterates the space as materialised chunks of at most
@@ -281,26 +273,18 @@ impl Assessment {
     }
 }
 
-/// Below this many points `par_evaluate_space` falls back to the serial
-/// path. Per-point work is two table reads and one add, so thread
-/// spawn/join overhead dominates small batches: the PR 2 trajectory
-/// measured 13.8 µs parallel vs 2.6 µs serial at 864 points, with
-/// break-even sitting just above 10⁵ points on the dev container (see
-/// `crates/bench/benches/scenario_space.rs`). The fallback is safe
-/// because both paths are bit-identical by construction.
-pub const PAR_SERIAL_CUTOFF: usize = 1 << 17;
-
-/// Points per in-flight chunk for the streaming evaluators — small
-/// enough that `threads × STREAM_CHUNK_POINTS × 3` columns stay a few
-/// megabytes, large enough to amortise thread spawn/join.
-pub const STREAM_CHUNK_POINTS: usize = 1 << 16;
+/// Points per pool slot when filling result columns. Fixed, so the
+/// partition never depends on the thread count; large enough that a
+/// slot's claim costs nothing beside its writes, small enough that a
+/// multi-million-point space spreads over dozens of slots.
+pub const FILL_CHUNK_POINTS: usize = 1 << 16;
 
 /// Precomputed per-(CI, PUE) active and per-(embodied, lifespan) fleet
 /// charges — the shared kernel every evaluation path reads. The scalar
 /// engine fills `active` from one energy figure; the time-resolved
 /// engine fills it from per-interval convolutions. Everything downstream
-/// (materialise / stream / chunk / parallel) is common code, which is
-/// what keeps the paths bit-identical to each other.
+/// (column fill / stream / chunk) is common code, which is what keeps
+/// the paths bit-identical to each other.
 #[derive(Clone, Debug)]
 pub(crate) struct EvalTables {
     /// Active carbon per (ci, pue) pair, ci-major.
@@ -332,151 +316,111 @@ impl EvalTables {
         }
     }
 
-    /// Materialises the three result columns for `[start, end)` into
-    /// caller-owned buffers, clearing them first — the buffer-reuse
-    /// primitive behind [`Assessment::evaluate_space_into`]. When the
-    /// buffers' capacities already fit the range (the warm path), this
-    /// allocates nothing.
-    fn fill_columns_into(
+    /// Replaces the three columns' contents with the outcomes of the
+    /// points in `range`, on up to `threads` pool workers (`0` = every
+    /// pool worker, `1` = inline on the caller). The range is cut into
+    /// fixed [`FILL_CHUNK_POINTS`] slots, each written straight into the
+    /// columns' spare capacity: no per-chunk buffer, no concatenation,
+    /// and no allocation at all when the columns already have the
+    /// capacity. A point's value never depends on which slot or thread
+    /// wrote it, so every thread count yields the same bits.
+    fn fill_columns(
         &self,
-        start: usize,
-        end: usize,
+        range: Range<usize>,
+        threads: usize,
         active: &mut Vec<CarbonMass>,
         embodied: &mut Vec<CarbonMass>,
         total: &mut Vec<CarbonMass>,
     ) {
-        active.clear();
-        embodied.clear();
-        total.clear();
-        active.reserve(end - start);
-        embodied.reserve(end - start);
-        total.reserve(end - start);
-        self.for_each(start, end, |_, o| {
-            active.push(o.active);
-            embodied.push(o.embodied);
-            total.push(o.active + o.embodied);
+        let len = range.len();
+        let mut columns = [active, embodied, total];
+        let out = ColumnsOut(columns.each_mut().map(|col| {
+            col.clear();
+            col.reserve(len);
+            col.spare_capacity_mut().as_mut_ptr()
+        }));
+        let threads = if threads == 0 { pool_size() } else { threads };
+        let mut slots = vec![(); len.div_ceil(FILL_CHUNK_POINTS)];
+        pool_fill_indexed(&mut slots, threads, |slot, ()| {
+            let lo = slot * FILL_CHUNK_POINTS;
+            let n = FILL_CHUNK_POINTS.min(len - lo);
+            // SAFETY: the pool hands each slot index out once, so
+            // `lo..lo + n` is this call's alone, and it lies inside the
+            // `len` entries reserved above.
+            let [active, embodied, total] = unsafe { out.pieces(lo, n) };
+            let first = range.start + lo;
+            self.for_each(first, first + n, |idx, o| {
+                active[idx - first].write(o.active);
+                embodied[idx - first].write(o.embodied);
+                total[idx - first].write(o.active + o.embodied);
+            });
         });
-    }
-
-    /// Materialises the three result columns for `[start, end)`.
-    fn fill_columns(
-        &self,
-        start: usize,
-        end: usize,
-    ) -> (Vec<CarbonMass>, Vec<CarbonMass>, Vec<CarbonMass>) {
-        let mut active = Vec::new();
-        let mut embodied = Vec::new();
-        let mut total = Vec::new();
-        self.fill_columns_into(start, end, &mut active, &mut embodied, &mut total);
-        (active, embodied, total)
-    }
-
-    /// Materialises only the active/embodied columns for `[start, end)` —
-    /// the streaming paths derive totals at the sink, so building the
-    /// third column would be wasted work.
-    fn fill_pairs(&self, start: usize, end: usize) -> (Vec<CarbonMass>, Vec<CarbonMass>) {
-        let mut active = Vec::with_capacity(end - start);
-        let mut embodied = Vec::with_capacity(end - start);
-        self.for_each(start, end, |_, o| {
-            active.push(o.active);
-            embodied.push(o.embodied);
-        });
-        (active, embodied)
+        for col in columns {
+            // SAFETY: the fill returned, so every slot ran and the first
+            // `len` entries of each column are initialised.
+            unsafe { col.set_len(len) };
+        }
     }
 }
 
-/// Resolves a thread-count request (`0` = available parallelism) against
-/// the number of points.
-fn resolve_threads(threads: usize, n: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
+/// Base pointers of the three result columns' spare capacity, shared by
+/// the pool slots of one [`EvalTables::fill_columns`] call.
+struct ColumnsOut([*mut MaybeUninit<CarbonMass>; 3]);
+
+// SAFETY: the slots of one fill write disjoint index ranges, so sharing
+// the base pointers across pool threads never aliases a write.
+unsafe impl Sync for ColumnsOut {}
+
+impl ColumnsOut {
+    /// The `n` entries from `lo` on, in each of the three columns.
+    ///
+    /// # Safety
+    ///
+    /// `lo + n` is at most the spare capacity each base pointer was
+    /// taken from, and nothing else reads or writes those entries while
+    /// the pieces are alive.
+    #[allow(clippy::mut_from_ref)] // disjointness is the caller's contract
+    unsafe fn pieces(&self, lo: usize, n: usize) -> [&mut [MaybeUninit<CarbonMass>]; 3] {
+        // SAFETY: upheld by the caller (see above).
+        self.0
+            .map(|base| unsafe { std::slice::from_raw_parts_mut(base.add(lo), n) })
     }
-    .min(n.max(1))
 }
 
-/// Serial materialisation over the kernel tables.
-pub(crate) fn materialise(space: &ScenarioSpace, tables: &EvalTables) -> SpaceResults {
-    let (active, embodied, total) = tables.fill_columns(0, space.len());
-    SpaceResults {
+/// Evaluates every point of `space` into fresh columns on up to
+/// `threads` pool workers (see [`EvalTables::fill_columns`]).
+pub(crate) fn evaluate(space: &ScenarioSpace, tables: &EvalTables, threads: usize) -> SpaceResults {
+    let mut out = SpaceResults {
         space: space.clone(),
-        active,
-        embodied,
-        total,
+        active: Vec::new(),
+        embodied: Vec::new(),
+        total: Vec::new(),
         sorted: OnceLock::new(),
-    }
+    };
+    evaluate_into(space, tables, threads, &mut out);
+    out
 }
 
-/// Serial materialisation into an existing [`SpaceResults`], reusing its
-/// buffers (see [`Assessment::evaluate_space_into`]). Bit-identical to
-/// [`materialise`]; the stale statistics cache is dropped so queries
-/// can't read the previous sweep's totals.
-pub(crate) fn evaluate_into(space: &ScenarioSpace, tables: &EvalTables, out: &mut SpaceResults) {
+/// [`evaluate`] into an existing [`SpaceResults`], reusing its buffers
+/// (see [`Assessment::evaluate_space_into`]). The stale statistics
+/// cache is dropped so queries can't read the previous sweep's totals.
+pub(crate) fn evaluate_into(
+    space: &ScenarioSpace,
+    tables: &EvalTables,
+    threads: usize,
+    out: &mut SpaceResults,
+) {
     if out.space != *space {
         out.space.clone_from(space);
     }
     out.sorted = OnceLock::new();
-    tables.fill_columns_into(
-        0,
-        space.len(),
+    tables.fill_columns(
+        0..space.len(),
+        threads,
         &mut out.active,
         &mut out.embodied,
         &mut out.total,
     );
-}
-
-/// Parallel materialisation: one contiguous range per thread, results
-/// concatenated in range order — bit-identical to [`materialise`].
-pub(crate) fn par_materialise(
-    space: &ScenarioSpace,
-    tables: &EvalTables,
-    threads: usize,
-) -> SpaceResults {
-    let n = space.len();
-    // Check the cutoff before resolving threads: `available_parallelism`
-    // is a syscall (cgroup reads on Linux) costing ~10 µs — more than a
-    // whole sub-cutoff batch.
-    if n < PAR_SERIAL_CUTOFF {
-        return materialise(space, tables);
-    }
-    let threads = resolve_threads(threads, n);
-    if threads <= 1 {
-        return materialise(space, tables);
-    }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-        .filter(|(s, e)| s < e)
-        .collect();
-    let mut active = Vec::with_capacity(n);
-    let mut embodied = Vec::with_capacity(n);
-    let mut total = Vec::with_capacity(n);
-    let parts = crossbeam::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| scope.spawn(move |_| tables.fill_columns(start, end)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scenario worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("crossbeam scope");
-    for (a, e, t) in parts {
-        active.extend(a);
-        embodied.extend(e);
-        total.extend(t);
-    }
-    SpaceResults {
-        space: space.clone(),
-        active,
-        embodied,
-        total,
-        sorted: OnceLock::new(),
-    }
 }
 
 /// Serial streaming over the kernel tables: `sink` sees every point in
@@ -494,67 +438,6 @@ pub(crate) fn stream_points(
             outcome,
         });
     });
-}
-
-/// Parallel streaming: the per-point arithmetic runs chunked across
-/// threads in waves of `threads ×` [`STREAM_CHUNK_POINTS`] points, and
-/// the sink drains each wave in index order on the calling thread — so
-/// delivery order and every value match [`stream_points`] exactly while
-/// memory stays bounded by the wave size.
-pub(crate) fn par_stream_points(
-    space: &ScenarioSpace,
-    tables: &EvalTables,
-    threads: usize,
-    mut sink: impl FnMut(PointResult),
-) {
-    let n = space.len();
-    if n < PAR_SERIAL_CUTOFF {
-        return stream_points(space, tables, sink);
-    }
-    let threads = resolve_threads(threads, n);
-    if threads <= 1 {
-        return stream_points(space, tables, sink);
-    }
-    let mut wave_start = 0usize;
-    while wave_start < n {
-        let wave_end = (wave_start + threads * STREAM_CHUNK_POINTS).min(n);
-        let ranges: Vec<(usize, usize)> = (0..)
-            .map(|t| {
-                (
-                    wave_start + t * STREAM_CHUNK_POINTS,
-                    (wave_start + (t + 1) * STREAM_CHUNK_POINTS).min(wave_end),
-                )
-            })
-            .take_while(|(s, e)| s < e)
-            .collect();
-        let parts = crossbeam::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(start, end)| scope.spawn(move |_| tables.fill_pairs(start, end)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scenario worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope");
-        let mut idx = wave_start;
-        for (active, embodied) in parts {
-            for (a, e) in active.into_iter().zip(embodied) {
-                sink(PointResult {
-                    point: space
-                        .point(idx)
-                        .expect("kernel indices are in range by construction"),
-                    outcome: PointOutcome {
-                        active: a,
-                        embodied: e,
-                    },
-                });
-                idx += 1;
-            }
-        }
-        wave_start = wave_end;
-    }
 }
 
 /// A contiguous slice of batch results: columns for the points
@@ -615,13 +498,20 @@ impl Iterator for SpaceChunks<'_> {
         let start = self.next;
         let end = (start + self.chunk).min(n);
         self.next = end;
-        let (active, embodied, total) = self.tables.fill_columns(start, end);
-        Some(SpaceChunk {
+        let mut chunk = SpaceChunk {
             start,
-            active,
-            embodied,
-            total,
-        })
+            active: Vec::new(),
+            embodied: Vec::new(),
+            total: Vec::new(),
+        };
+        self.tables.fill_columns(
+            start..end,
+            1,
+            &mut chunk.active,
+            &mut chunk.embodied,
+            &mut chunk.total,
+        );
+        Some(chunk)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1139,9 +1029,6 @@ mod tests {
         for (i, p) in streamed.iter().enumerate() {
             assert_eq!(*p, results.get(i).unwrap(), "point {i}");
         }
-        let mut par_streamed = Vec::new();
-        a.par_stream_space(4, |p| par_streamed.push(p));
-        assert_eq!(streamed, par_streamed);
 
         // Chunked: uneven chunk size, full coverage, exact columns.
         let mut idx = 0;
@@ -1164,9 +1051,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_paths_are_bit_identical_across_the_cutoff() {
-        // 20 × 10 × 30 × 28 = 168,000 points — above PAR_SERIAL_CUTOFF,
-        // so the threaded code paths genuinely run.
+    fn parallel_paths_are_bit_identical_across_pool_chunks() {
+        // 20 × 10 × 30 × 28 = 168,000 points — three fill chunks, so the
+        // pool genuinely splits the columns.
         let a = Assessment::builder()
             .energy(paper::effective_energy())
             .ci_axis(
@@ -1186,13 +1073,23 @@ mod tests {
             .servers(paper::AMORTISATION_FLEET_SERVERS)
             .build()
             .unwrap();
-        assert!(a.space().len() >= PAR_SERIAL_CUTOFF);
+        assert!(a.space().len() > 2 * FILL_CHUNK_POINTS);
         let serial = a.evaluate_space();
-        let par = a.par_evaluate_space(4);
-        assert_eq!(serial, par);
-        let mut streamed_totals = Vec::with_capacity(serial.len());
-        a.par_stream_space(4, |p| streamed_totals.push(p.outcome.total()));
-        assert_eq!(streamed_totals.as_slice(), serial.totals());
+        for threads in [0, 2, 4] {
+            assert_eq!(serial, a.par_evaluate_space(threads), "threads = {threads}");
+        }
+        // Warm re-fill of a multi-chunk space keeps the column storage.
+        let mut reused = a.par_evaluate_space(4);
+        let ptr = reused.totals().as_ptr();
+        a.evaluate_space_into(&mut reused);
+        assert_eq!(reused, serial);
+        assert_eq!(reused.totals().as_ptr(), ptr);
+        // Chunks wider than one fill chunk are filled in several slots.
+        let mut totals = Vec::with_capacity(serial.len());
+        for chunk in a.chunks(FILL_CHUNK_POINTS + 7) {
+            totals.extend_from_slice(&chunk.total);
+        }
+        assert_eq!(totals.as_slice(), serial.totals());
     }
 
     #[test]

@@ -64,8 +64,8 @@
 
 use crate::embodied::fleet_snapshot_daily;
 use crate::engine::{
-    chunks_over, evaluate_into, materialise, par_materialise, par_stream_points, stream_points,
-    AssessmentBuilder, EvalTables, PointOutcome, PointResult, SpaceChunks, SpaceResults,
+    chunks_over, evaluate, evaluate_into, stream_points, AssessmentBuilder, EvalTables,
+    PointOutcome, PointResult, SpaceChunks, SpaceResults,
 };
 use crate::error::{Error, Result};
 use crate::space::{ScenarioAxis, ScenarioPoint, ScenarioSpace};
@@ -239,7 +239,7 @@ impl TimeResolvedAssessment {
     /// Materialises full columns — use the streaming or chunked forms
     /// for spaces too large to hold.
     pub fn evaluate_space(&self) -> SpaceResults {
-        materialise(&self.space, self.tables())
+        evaluate(&self.space, self.tables(), 1)
     }
 
     /// Evaluates the space into an existing [`SpaceResults`], reusing
@@ -249,15 +249,15 @@ impl TimeResolvedAssessment {
     /// after warm-up, same-shape sweeps allocate nothing. Any cached
     /// statistics view on `out` is invalidated and lazily rebuilt.
     pub fn evaluate_space_into(&self, out: &mut SpaceResults) {
-        evaluate_into(&self.space, self.tables(), out);
+        evaluate_into(&self.space, self.tables(), 1, out);
     }
 
-    /// [`TimeResolvedAssessment::evaluate_space`] chunked across
-    /// `threads` OS threads, bit-identical to serial (`0` = available
-    /// parallelism; small spaces fall back to serial — see
-    /// [`crate::engine::PAR_SERIAL_CUTOFF`]).
+    /// [`TimeResolvedAssessment::evaluate_space`] on up to `threads`
+    /// workers of the persistent pool, bit-identical to serial (`0` =
+    /// every pool worker; a space of one fill chunk runs inline — see
+    /// [`crate::engine::Assessment::par_evaluate_space`]).
     pub fn par_evaluate_space(&self, threads: usize) -> SpaceResults {
-        par_materialise(&self.space, self.tables(), threads)
+        evaluate(&self.space, self.tables(), threads)
     }
 
     /// Streams every point, in index order, to `sink` without
@@ -265,13 +265,6 @@ impl TimeResolvedAssessment {
     /// O(points), so >10M-point day-sweeps run in a bounded footprint.
     pub fn stream_space(&self, sink: impl FnMut(PointResult)) {
         stream_points(&self.space, self.tables(), sink);
-    }
-
-    /// Streamed evaluation with the per-point arithmetic chunked across
-    /// `threads` OS threads. Delivery order and every value are
-    /// bit-identical to [`TimeResolvedAssessment::stream_space`].
-    pub fn par_stream_space(&self, threads: usize, sink: impl FnMut(PointResult)) {
-        par_stream_points(&self.space, self.tables(), threads, sink);
     }
 
     /// Iterates the space as materialised chunks of at most
@@ -694,9 +687,6 @@ mod tests {
 
         let mut streamed = Vec::new();
         a.stream_space(|p| streamed.push(p));
-        let mut par_streamed = Vec::new();
-        a.par_stream_space(3, |p| par_streamed.push(p));
-        assert_eq!(streamed, par_streamed);
         for (i, p) in streamed.iter().enumerate() {
             assert_eq!(*p, results.get(i).unwrap(), "point {i}");
             assert_eq!(*p, a.evaluate(i).unwrap(), "point {i}");

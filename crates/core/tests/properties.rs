@@ -2,7 +2,7 @@
 
 use iriscast_grid::IntensitySeries;
 use iriscast_model::embodied::{fleet_snapshot_daily, AmortizationPolicy};
-use iriscast_model::engine::evaluate_one;
+use iriscast_model::engine::{evaluate_one, FILL_CHUNK_POINTS};
 use iriscast_model::netzero::{project, DecarbonisationPathway, SteadyStateDri};
 use iriscast_model::{
     ActiveCarbonGrid, Assessment, EmbodiedSweep, FleetScenario, TimeResolvedAssessment,
@@ -71,6 +71,144 @@ fn ordered_triple(lo: f64, hi: f64) -> impl Strategy<Value = (f64, f64, f64)> {
         v.sort_by(f64::total_cmp);
         (v[0], v[1], v[2])
     })
+}
+
+/// A scalar assessment with `shape` = `[ci, pue, embodied, lifespan]`
+/// evenly spaced samples per axis.
+fn linspace_assessment(kwh: f64, shape: [usize; 4], servers: u32) -> Assessment {
+    let [n_ci, n_pue, n_emb, n_life] = shape;
+    Assessment::builder()
+        .energy(Energy::from_kilowatt_hours(kwh))
+        .ci_axis(
+            iriscast_model::ScenarioAxis::linspace(
+                "ci",
+                Bounds::new(
+                    CarbonIntensity::from_grams_per_kwh(10.0),
+                    CarbonIntensity::from_grams_per_kwh(500.0),
+                ),
+                n_ci,
+            )
+            .unwrap(),
+        )
+        .pue_axis(
+            iriscast_model::ScenarioAxis::linspace(
+                "pue",
+                Bounds::new(Pue::new(1.05).unwrap(), Pue::new(2.2).unwrap()),
+                n_pue,
+            )
+            .unwrap(),
+        )
+        .embodied_linspace(
+            Bounds::new(
+                CarbonMass::from_kilograms(100.0),
+                CarbonMass::from_kilograms(1_500.0),
+            ),
+            n_emb,
+        )
+        .lifespan_linspace(1.0, 12.0, n_life)
+        .servers(servers)
+        .build()
+        .unwrap()
+}
+
+/// `par_evaluate_space(threads)` equals `evaluate_space` exactly, not
+/// within a tolerance: every column, every point.
+fn assert_parallel_matches_serial(a: &Assessment, threads: usize) {
+    let serial = a.evaluate_space();
+    let par = a.par_evaluate_space(threads);
+    assert_eq!(&serial, &par);
+    assert_eq!(serial.totals(), par.totals());
+    assert_eq!(serial.active(), par.active());
+    assert_eq!(serial.embodied(), par.embodied());
+}
+
+/// The materialised, parallel, streamed and chunked time-resolved paths
+/// agree bit for bit, and each point equals the per-slot scalar
+/// summation through `evaluate_one`.
+fn assert_time_resolved_paths_agree(a: &TimeResolvedAssessment, threads: usize) {
+    let servers = a.servers();
+    let results = a.evaluate_space();
+
+    // Materialised ≡ parallel-materialised.
+    let par = a.par_evaluate_space(threads);
+    assert_eq!(&results, &par);
+
+    // Materialised ≡ streamed, point for point.
+    let mut streamed = Vec::with_capacity(results.len());
+    a.stream_space(|p| streamed.push(p));
+    for (i, p) in streamed.iter().enumerate() {
+        assert_eq!(*p, results.get(i).unwrap());
+        assert_eq!(*p, a.evaluate(i).unwrap());
+    }
+
+    // Materialised ≡ chunked (uneven chunk size on purpose).
+    let mut idx = 0;
+    for chunk in a.chunks(13) {
+        assert_eq!(chunk.start, idx);
+        for k in 0..chunk.len() {
+            assert_eq!(chunk.active[k], results.active()[idx + k]);
+            assert_eq!(chunk.embodied[k], results.embodied()[idx + k]);
+            assert_eq!(chunk.total[k], results.totals()[idx + k]);
+        }
+        idx += chunk.len();
+    }
+    assert_eq!(idx, results.len());
+
+    // Every point ≡ the scalar kernel summed slot by slot.
+    for index in [0, results.len() / 2, results.len() - 1] {
+        let p = results.get(index).unwrap();
+        let aligned = a.aligned_intensity(p.point.coords[0]).unwrap();
+        let mut active = CarbonMass::ZERO;
+        for (&e, &c) in a.energy().values().iter().zip(aligned) {
+            active += evaluate_one(
+                e,
+                servers,
+                1.0,
+                c,
+                p.point.pue,
+                p.point.embodied_per_server,
+                p.point.lifespan_years,
+            )
+            .active;
+        }
+        assert_eq!(active, p.outcome.active);
+        let embodied = evaluate_one(
+            Energy::ZERO,
+            servers,
+            a.window_days(),
+            CarbonIntensity::ZERO,
+            p.point.pue,
+            p.point.embodied_per_server,
+            p.point.lifespan_years,
+        )
+        .embodied;
+        assert_eq!(embodied, p.outcome.embodied);
+
+        // The per-interval profile integrates to the same outcome.
+        let profile = a.profile(index).unwrap();
+        assert_eq!(profile.integrated(), p.outcome);
+        let slot_sum: CarbonMass = profile.active().iter().copied().sum();
+        assert!(
+            (slot_sum.grams() - p.outcome.active.grams()).abs()
+                <= 1e-9 * p.outcome.active.grams() + 1e-9
+        );
+    }
+
+    // The energy-weighted mean CI on the axis reproduces the
+    // convolution through the scalar formula (to float tolerance).
+    for (ci_i, &mean_ci) in a.space().ci().samples().iter().enumerate() {
+        let coords = [ci_i, 0, 0, 0];
+        let index = a.space().index_of(coords).unwrap();
+        let p = results.get(index).unwrap();
+        let scalar = p.point.pue.apply(a.energy().total()) * mean_ci;
+        assert!(
+            (scalar.grams() - p.outcome.active.grams()).abs()
+                <= 1e-6 * p.outcome.active.grams() + 1e-9,
+            "{} vs {}",
+            scalar.grams(),
+            p.outcome.active.grams()
+        );
+    }
 }
 
 proptest! {
@@ -310,40 +448,9 @@ proptest! {
         threads in 0usize..9,
         servers in 0u32..5_000,
     ) {
-        let a = Assessment::builder()
-            .energy(Energy::from_kilowatt_hours(kwh))
-            .ci_axis(iriscast_model::ScenarioAxis::linspace(
-                "ci",
-                Bounds::new(
-                    CarbonIntensity::from_grams_per_kwh(10.0),
-                    CarbonIntensity::from_grams_per_kwh(500.0),
-                ),
-                n_ci,
-            ).unwrap())
-            .pue_axis(iriscast_model::ScenarioAxis::linspace(
-                "pue",
-                Bounds::new(Pue::new(1.05).unwrap(), Pue::new(2.2).unwrap()),
-                n_pue,
-            ).unwrap())
-            .embodied_linspace(
-                Bounds::new(
-                    CarbonMass::from_kilograms(100.0),
-                    CarbonMass::from_kilograms(1_500.0),
-                ),
-                n_emb,
-            )
-            .lifespan_linspace(1.0, 12.0, n_life)
-            .servers(servers)
-            .build()
-            .unwrap();
-        let serial = a.evaluate_space();
-        prop_assert_eq!(serial.len(), n_ci * n_pue * n_emb * n_life);
-        let par = a.par_evaluate_space(threads);
-        prop_assert_eq!(&serial, &par);
-        // Exactness, not tolerance: every column, every point.
-        prop_assert_eq!(serial.totals(), par.totals());
-        prop_assert_eq!(serial.active(), par.active());
-        prop_assert_eq!(serial.embodied(), par.embodied());
+        let a = linspace_assessment(kwh, [n_ci, n_pue, n_emb, n_life], servers);
+        prop_assert_eq!(a.space().len(), n_ci * n_pue * n_emb * n_life);
+        assert_parallel_matches_serial(&a, threads);
     }
 
     /// Time-resolved evaluation: the streamed, materialised, chunked and
@@ -364,92 +471,8 @@ proptest! {
         servers in 1u32..5_000,
     ) {
         let a = time_resolved_fixture(slots, kwh, fine, n_ci, n_pue, n_emb, n_life, servers);
-        let results = a.evaluate_space();
-        prop_assert_eq!(results.len(), n_ci * n_pue * n_emb * n_life);
-
-        // Materialised ≡ parallel-materialised.
-        let par = a.par_evaluate_space(threads);
-        prop_assert_eq!(&results, &par);
-
-        // Materialised ≡ streamed ≡ parallel-streamed, point for point.
-        let mut streamed = Vec::with_capacity(results.len());
-        a.stream_space(|p| streamed.push(p));
-        let mut par_streamed = Vec::with_capacity(results.len());
-        a.par_stream_space(threads, |p| par_streamed.push(p));
-        prop_assert_eq!(&streamed, &par_streamed);
-        for (i, p) in streamed.iter().enumerate() {
-            prop_assert_eq!(*p, results.get(i).unwrap());
-            prop_assert_eq!(*p, a.evaluate(i).unwrap());
-        }
-
-        // Materialised ≡ chunked (uneven chunk size on purpose).
-        let mut idx = 0;
-        for chunk in a.chunks(13) {
-            prop_assert_eq!(chunk.start, idx);
-            for k in 0..chunk.len() {
-                prop_assert_eq!(chunk.active[k], results.active()[idx + k]);
-                prop_assert_eq!(chunk.embodied[k], results.embodied()[idx + k]);
-                prop_assert_eq!(chunk.total[k], results.totals()[idx + k]);
-            }
-            idx += chunk.len();
-        }
-        prop_assert_eq!(idx, results.len());
-
-        // Every point ≡ the scalar kernel summed slot by slot.
-        for index in [0, results.len() / 2, results.len() - 1] {
-            let p = results.get(index).unwrap();
-            let aligned = a.aligned_intensity(p.point.coords[0]).unwrap();
-            let mut active = CarbonMass::ZERO;
-            for (&e, &c) in a.energy().values().iter().zip(aligned) {
-                active += evaluate_one(
-                    e,
-                    servers,
-                    1.0,
-                    c,
-                    p.point.pue,
-                    p.point.embodied_per_server,
-                    p.point.lifespan_years,
-                )
-                .active;
-            }
-            prop_assert_eq!(active, p.outcome.active);
-            let embodied = evaluate_one(
-                Energy::ZERO,
-                servers,
-                a.window_days(),
-                CarbonIntensity::ZERO,
-                p.point.pue,
-                p.point.embodied_per_server,
-                p.point.lifespan_years,
-            )
-            .embodied;
-            prop_assert_eq!(embodied, p.outcome.embodied);
-
-            // The per-interval profile integrates to the same outcome.
-            let profile = a.profile(index).unwrap();
-            prop_assert_eq!(profile.integrated(), p.outcome);
-            let slot_sum: CarbonMass = profile.active().iter().copied().sum();
-            prop_assert!(
-                (slot_sum.grams() - p.outcome.active.grams()).abs()
-                    <= 1e-9 * p.outcome.active.grams() + 1e-9
-            );
-        }
-
-        // The energy-weighted mean CI on the axis reproduces the
-        // convolution through the scalar formula (to float tolerance).
-        for (ci_i, &mean_ci) in a.space().ci().samples().iter().enumerate() {
-            let coords = [ci_i, 0, 0, 0];
-            let index = a.space().index_of(coords).unwrap();
-            let p = results.get(index).unwrap();
-            let scalar = p.point.pue.apply(a.energy().total()) * mean_ci;
-            prop_assert!(
-                (scalar.grams() - p.outcome.active.grams()).abs()
-                    <= 1e-6 * p.outcome.active.grams() + 1e-9,
-                "{} vs {}",
-                scalar.grams(),
-                p.outcome.active.grams()
-            );
-        }
+        prop_assert_eq!(a.space().len(), n_ci * n_pue * n_emb * n_life);
+        assert_time_resolved_paths_agree(&a, threads);
     }
 
     /// Series that cannot be aligned exactly — too short, phase-skewed,
@@ -831,6 +854,47 @@ proptest! {
             prop_assert!(y.intensity >= pathway.floor);
             prop_assert!((0.0..=1.0).contains(&y.embodied_share));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// `parallel_evaluation_matches_serial` on spaces whose long CI
+    /// axis spans several pool fill chunks, so the fill really fans
+    /// out. Few cases keep debug test runs quick.
+    #[test]
+    fn parallel_evaluation_matches_serial_across_pool_chunks(
+        kwh in 100.0..1e6f64,
+        n_ci in 8_200usize..20_000,
+        n_pue in 2usize..4,
+        n_emb in 2usize..4,
+        n_life in 2usize..5,
+        threads in 2usize..17,
+        servers in 0u32..5_000,
+    ) {
+        let a = linspace_assessment(kwh, [n_ci, n_pue, n_emb, n_life], servers);
+        prop_assert!(a.space().len() > FILL_CHUNK_POINTS);
+        assert_parallel_matches_serial(&a, threads);
+        assert_parallel_matches_serial(&a, 0);
+    }
+
+    /// `time_resolved_streamed_materialised_scalar_summed_agree` on
+    /// spaces that span several pool fill chunks.
+    #[test]
+    fn time_resolved_paths_agree_across_pool_chunks(
+        slots in 1usize..6,
+        kwh in 0.01..50.0f64,
+        n_ci in 8_200usize..12_000,
+        n_pue in 2usize..4,
+        n_emb in 2usize..3,
+        n_life in 2usize..4,
+        threads in 2usize..17,
+        servers in 1u32..5_000,
+    ) {
+        let a = time_resolved_fixture(slots, kwh, 1, n_ci, n_pue, n_emb, n_life, servers);
+        prop_assert!(a.space().len() > FILL_CHUNK_POINTS);
+        assert_time_resolved_paths_agree(&a, threads);
     }
 }
 

@@ -18,11 +18,15 @@
 //!    site's growing [`SpaceResults`] ensemble via `extend_rows` — the
 //!    incremental path that keeps the cached sorted view warm by
 //!    galloping merge instead of re-sorting. Evaluation parallelises
-//!    freely ([`AssessmentService::ingest_batch`]); folds are
-//!    serialized per site in sequence order through a reorder buffer,
-//!    so the resulting state is **bit-identical at every worker
+//!    freely on the persistent worker pool
+//!    ([`AssessmentService::ingest_batch`]); folds run in slice order
+//!    and are serialized per site in sequence order through a reorder
+//!    buffer, so the resulting state is **bit-identical at every worker
 //!    count** — the property suite pins 1 ≡ 16 workers against a
-//!    sequential batch recompute.
+//!    sequential batch recompute. That holds on the error path too: a
+//!    batch stops at its first refused record in slice order, with
+//!    every earlier record folded and no later one, whatever the
+//!    worker count.
 //! 3. **Query** — [`AssessmentService::envelope`] /
 //!    [`AssessmentService::percentile`] / [`AssessmentService::marginals`] /
 //!    [`AssessmentService::tenant_share`] answer from the warm views:

@@ -3,9 +3,10 @@
 
 use crate::error::{ServeError, ServeResult};
 use crate::record::SnapshotRecord;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use iriscast_model::engine::{Assessment, Envelope, Marginal, SpaceResults, TotalsSummary};
 use iriscast_model::space::{AxisId, ScenarioAxis};
+use iriscast_telemetry::par::pool_fill_indexed;
 use iriscast_units::{Bounds, CarbonMass, Energy};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -385,53 +386,38 @@ impl AssessmentService {
         self.fold_evaluated(record, block)
     }
 
-    /// Ingests a batch with `workers` parallel evaluation threads
-    /// (1 = inline). Evaluation — the expensive part — is distributed;
-    /// folds are applied through the per-site reorder buffer in `seq`
-    /// order, so the resulting state is **bit-identical at every worker
-    /// count** (the property suite pins 1 ≡ 16). Returns the number of
-    /// snapshots folded.
+    /// Ingests a batch with up to `workers` evaluation threads from the
+    /// persistent pool (`0` or `1` = inline). Evaluation — the expensive
+    /// part — fills one slot per record on the pool; the blocks are then
+    /// folded in slice order through the per-site reorder buffer, so the
+    /// resulting state is **bit-identical at every worker count** (the
+    /// property suite pins 1 ≡ 16). Returns the number of snapshots
+    /// folded.
+    ///
+    /// # Errors
+    ///
+    /// A record whose site is unknown fails the whole batch before any
+    /// record is folded. Otherwise the batch stops at the first record,
+    /// in slice order, whose evaluation or fold is refused, and returns
+    /// that error: every record before it has been folded (or parked in
+    /// its site's reorder buffer), and it and every record after it have
+    /// not. That state is the same at every worker count.
     pub fn ingest_batch(&self, records: &[SnapshotRecord], workers: usize) -> ServeResult<usize> {
         // Resolve every model up front so an unknown site fails the
         // batch before any evaluation work starts.
-        let jobs: Vec<(SnapshotRecord, SiteModel)> = records
+        let models: Vec<SiteModel> = records
             .iter()
-            .map(|r| Ok((r.clone(), self.model_of(&r.site)?)))
+            .map(|r| self.model_of(&r.site))
             .collect::<ServeResult<_>>()?;
-        if workers <= 1 {
-            for (record, model) in &jobs {
-                let block = model.evaluate(record)?;
-                self.fold_evaluated(record, block)?;
-            }
-            return Ok(records.len());
+        let mut blocks: Vec<Option<ServeResult<SpaceResults>>> = Vec::new();
+        blocks.resize_with(records.len(), || None);
+        pool_fill_indexed(&mut blocks, workers, |i, slot| {
+            *slot = Some(models[i].evaluate(&records[i]));
+        });
+        for (record, block) in records.iter().zip(blocks) {
+            let block = block.expect("pool_fill_indexed visits every slot")?;
+            self.fold_evaluated(record, block)?;
         }
-        let (job_tx, job_rx) = unbounded();
-        let (done_tx, done_rx) = unbounded();
-        for job in jobs {
-            job_tx.send(job).expect("receiver alive");
-        }
-        drop(job_tx);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let done_tx = done_tx.clone();
-                s.spawn(move || {
-                    while let Ok((record, model)) = job_rx.recv() {
-                        let block = model.evaluate(&record);
-                        if done_tx.send((record, block)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-            // Fold in arrival order — the reorder buffer restores seq
-            // order per site, whatever the thread interleaving did.
-            while let Ok((record, block)) = done_rx.recv() {
-                self.fold_evaluated(&record, block?)?;
-            }
-            Ok::<(), ServeError>(())
-        })?;
         Ok(records.len())
     }
 
@@ -468,13 +454,6 @@ impl AssessmentService {
             })
             .expect("spawn ingest thread");
         IngestHandle { join }
-    }
-
-    /// Parses an NDJSON ingest stream and folds it with `workers`
-    /// evaluation threads. Returns the number of snapshots folded.
-    pub fn ingest_ndjson(&self, input: &str, workers: usize) -> ServeResult<usize> {
-        let records = SnapshotRecord::parse_ndjson(input)?;
-        self.ingest_batch(&records, workers)
     }
 
     /// Timeout heartbeats across every ingest thread so far.

@@ -199,6 +199,45 @@ proptest! {
         }
     }
 
+    /// A batch that hits a refused record stops at that record whatever
+    /// the worker count: every record before it in slice order is folded
+    /// or parked, none after it is, and 1 and 16 workers leave equal
+    /// watermarks, exports and percentile bits.
+    #[test]
+    fn failing_batch_leaves_the_same_state_at_any_worker_count(
+        energies in prop::collection::vec(500.0f64..30_000.0, 2..40),
+        bad in 0usize..40,
+        rot in 0usize..40,
+    ) {
+        let mut recs = records("CAM", &energies, 6);
+        let bad = bad % energies.len();
+        // A zero-length window: the model refuses to evaluate it.
+        recs[bad].window_end_s = recs[bad].window_start_s;
+        recs.rotate_left(rot % energies.len());
+        let stop = recs.iter().position(|r| r.seq == bad as u64).unwrap();
+
+        let ingest = |workers: usize| {
+            let service = AssessmentService::new();
+            service.register_site("CAM", model()).unwrap();
+            assert!(service.ingest_batch(&recs, workers).is_err());
+            service
+        };
+        let one = ingest(1);
+        let many = ingest(16);
+        let w = one.watermark("CAM").unwrap();
+        prop_assert_eq!(w.folded as usize + w.pending, stop);
+        prop_assert_eq!(w, many.watermark("CAM").unwrap());
+        let (export, export16) = (one.export("CAM").unwrap(), many.export("CAM").unwrap());
+        prop_assert_eq!(export, export16);
+        prop_assert_eq!(export.energy_kwh.to_bits(), export16.energy_kwh.to_bits());
+        for &q in &[0.0, 0.5, 0.95, 1.0] {
+            let bits = |s: &AssessmentService| {
+                s.percentile("CAM", q).ok().map(|c| c.kilograms().to_bits())
+            };
+            prop_assert_eq!(bits(&one), bits(&many), "q = {}", q);
+        }
+    }
+
     /// A replayed sequence number is refused without corrupting the
     /// folded state.
     #[test]
